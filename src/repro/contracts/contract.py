@@ -19,9 +19,10 @@ from repro.contracts.lts import LTS, build_lts
 from repro.observability.cache_stats import (cache_stats, reset_cache_stats,
                                              track_cache)
 
-#: Entries kept in the shared projection / LTS caches.  Terms are immutable
-#: and structurally hashed, so caching is sound; the bound only trades
-#: memory for recomputation.
+#: Entries kept in the shared projection / LTS caches.  Terms are interned
+#: immutable values with cached hashes and identity equality, so a lookup
+#: is O(1) and caching is sound; the bound only trades memory for
+#: recomputation.
 CONTRACT_CACHE_SIZE = 4096
 
 
@@ -35,9 +36,9 @@ def _projection_of(term: HistoryExpression) -> HistoryExpression:
 def _lts_of(projected: HistoryExpression) -> LTS[HistoryExpression, Label]:
     """Shared, memoised transition system of a projected term.
 
-    Keyed on the projected term, so every ``Contract`` over a structurally
-    equal term — however constructed — reuses one built LTS (and with it
-    the label-indexed adjacency the LTS itself caches).
+    Keyed on the (interned) projected term, so every ``Contract`` over a
+    structurally equal term — however constructed — reuses one built LTS
+    (and with it the label-indexed adjacency the LTS itself caches).
     """
     return build_lts(projected, step)
 
@@ -107,7 +108,8 @@ class Contract:
     """The communication behaviour of a (closed) history expression.
 
     Instances are immutable; the underlying LTS is built on first use and
-    cached.  Equality is structural on the projected term.
+    cached.  Two contracts are equal iff their projected terms are the
+    same interned node, i.e. structurally equal.
     """
 
     __slots__ = ("_term", "__dict__")

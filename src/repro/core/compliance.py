@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.actions import co, is_input, is_output
 from repro.core.ready_sets import unmatched_pairs
@@ -56,7 +55,6 @@ from repro.contracts.contract import Contract
 from repro.contracts.product import (PairState, ProductAutomaton,
                                      build_product, search_product)
 from repro.observability import runtime as _telemetry
-from repro.observability.cache_stats import track_cache
 
 
 @dataclass(frozen=True)
@@ -218,17 +216,7 @@ def _ready_set_condition(h1: HistoryExpression,
     return not unmatched_pairs(h1, h2)
 
 
-@lru_cache(maxsize=4096)
-def _cached_contract(term: HistoryExpression) -> Contract:
-    return Contract(term)
-
-
-track_cache("compliance.contract_intern", _cached_contract)
-
-
 def _as_contract(value: HistoryExpression | Contract) -> Contract:
-    if isinstance(value, Contract):
-        return value
-    # Terms are immutable and structurally hashed: every compliance check
-    # over the same term reuses one Contract (and its built LTS).
-    return _cached_contract(value)
+    # No memo of its own: closedness is cached on the interned node, and
+    # the projection and its LTS come from the shared contract caches.
+    return value if isinstance(value, Contract) else Contract(value)

@@ -15,48 +15,76 @@ guarded by inputs, guarded tail recursion only — hence finite state.
 
 from __future__ import annotations
 
-from repro.core.syntax import (ClosePending, Epsilon, EventNode,
+from repro.core.syntax import (EPSILON, ClosePending, Epsilon, EventNode,
                                ExternalChoice, FrameClosePending, Framing,
                                HistoryExpression, InternalChoice, Mu, Request,
                                Seq, Var, free_variables, seq)
+
+#: Nodes whose projection is ``ε``: events, whole requests and run-time
+#: residuals.
+_ERASED = (Epsilon, EventNode, ClosePending, Request, FrameClosePending)
 
 
 def project(term: HistoryExpression) -> HistoryExpression:
     """The projection ``term!`` on communication actions.
 
     Closed terms project to closed terms.  Recursions whose body becomes
-    trivial (no reachable communication guard) are simplified to ``ε`` so
-    that the projected contract stays well formed.
+    trivial (no reachable communication guard) are simplified to ``ε``
+    so that the projected contract stays well formed.
+
+    One iterative post-order pass, so term depth is bounded by memory
+    rather than the interpreter stack; each distinct node is projected
+    once per call, however often the term shares it.
     """
-    if isinstance(term, (Epsilon, EventNode, ClosePending, Request, Framing,
-                         FrameClosePending)):
-        return _project_erased(term)
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Seq):
-        return seq(project(term.first), project(term.second))
-    if isinstance(term, ExternalChoice):
-        return ExternalChoice(tuple((label, project(cont))
-                                    for label, cont in term.branches))
-    if isinstance(term, InternalChoice):
-        return InternalChoice(tuple((label, project(cont))
-                                    for label, cont in term.branches))
-    if isinstance(term, Mu):
-        body = project(term.body)
-        if term.var not in free_variables(body):
+    projected: dict[HistoryExpression, HistoryExpression] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if node in projected:
+            stack.pop()
+            continue
+        pending = [child for child in _projected_children(node)
+                   if child not in projected]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        projected[node] = _project_node(node, projected)
+    return projected[term]
+
+
+def _projected_children(node: HistoryExpression
+                        ) -> tuple[HistoryExpression, ...]:
+    """The children whose projections *node*'s projection is built from
+    (none for erased nodes: a request's body is dropped with it)."""
+    if isinstance(node, (Seq, ExternalChoice, InternalChoice, Mu, Framing)):
+        return node.children()
+    return ()
+
+
+def _project_node(node: HistoryExpression,
+                  projected: dict[HistoryExpression, HistoryExpression]
+                  ) -> HistoryExpression:
+    """The projection of *node*, given its children's in *projected*."""
+    if isinstance(node, _ERASED):
+        return EPSILON
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, Framing):
+        return projected[node.body]
+    if isinstance(node, Seq):
+        return seq(projected[node.first], projected[node.second])
+    if isinstance(node, (ExternalChoice, InternalChoice)):
+        return type(node)(tuple((label, projected[cont])
+                                for label, cont in node.branches))
+    if isinstance(node, Mu):
+        body = projected[node.body]
+        if node.var not in free_variables(body):
             return body
-        if _is_trivial_loop(body, term.var):
-            return Epsilon()
-        return Mu(term.var, body)
-    raise TypeError(f"unknown history expression node {term!r}")
-
-
-def _project_erased(term: HistoryExpression) -> HistoryExpression:
-    """Projection of nodes that erase to ``ε`` or to their body."""
-    if isinstance(term, Framing):
-        return project(term.body)
-    # ε, events, whole requests and run-time residuals all erase.
-    return Epsilon()
+        if _is_trivial_loop(body, node.var):
+            return EPSILON
+        return Mu(node.var, body)
+    raise TypeError(f"unknown history expression node {node!r}")
 
 
 def _is_trivial_loop(body: HistoryExpression, var: str) -> bool:

@@ -5,9 +5,18 @@ The grammar is::
     H ::= ε | h | μh.H | (Σ_{i∈I} a_i.H_i) | (⊕_{i∈I} ā_i.H_i) | α
         | H·H | open_{r,φ} H close_{r,φ} | φ[H]
 
-Nodes are immutable (frozen dataclasses), compared structurally and
-hashable, so history expressions can be used directly as states of the
-transition systems built in :mod:`repro.core.semantics`.
+Nodes are immutable and *hash-consed* (Filliâtre & Conchon, "Type-safe
+modular hash-consing", ML 2006): every constructor call, positional or
+keyword, goes through one weak unique table keyed on the constructor and
+its field values, so structurally equal terms are one object and ``==``
+is identity.  Each node caches its hash at construction, equal to
+``hash(tuple(field values))`` — the hash a frozen dataclass would have,
+so set and dict iteration orders do not depend on interning — and its
+free recursion variables on first query (:func:`free_variables`).
+Hashing, comparing and repeated closedness checks are therefore O(1)
+whatever the size of the term, and history expressions can be used
+directly as states of the transition systems built in
+:mod:`repro.core.semantics`.
 
 Two *run-time* leaves complement the surface grammar:
 
@@ -24,20 +33,114 @@ constructor :func:`seq`, which all library code uses instead of building
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import atexit
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Union
 
 from repro.core.actions import Event, Receive, Send
 
+_NO_FREE: frozenset[str] = frozenset()
 
-class HistoryExpression:
+
+class _Entry(weakref.ref):
+    """A unique-table entry: a weak reference to a node plus its key."""
+
+    __slots__ = ("key",)
+
+
+#: The weak unique table: ``(constructor, *field values)`` → entry of the
+#: live node.  It relies on single dict operations being atomic (under
+#: the GIL, or a dict's own lock), so lookups, inserts and evictions take
+#: no lock of their own and stay safe across threads.
+_ENTRIES: dict[tuple, _Entry] = {}
+#: Non-empty once the interpreter starts exiting (see :func:`_evict`).
+_EXITING: list[bool] = []
+atexit.register(_EXITING.append, True)
+
+
+def _evict(entry: _Entry, entries=_ENTRIES, exiting=_EXITING,
+           remove=_remove_dead_weakref) -> None:
+    """Drop a dead node's entry, unless a live node has replaced it.
+
+    Skipped at exit: nodes then die while modules are torn down, and
+    finding the entry may compare keys, i.e. call field values'
+    ``__eq__`` against half-cleared modules."""
+    if not exiting:
+        remove(entries, entry.key)
+
+
+def _intern(cls: "_Interned", args: tuple, key: tuple
+            ) -> "HistoryExpression":
+    """Build the node for a *key* the table has no live entry for."""
+    setters = cls._setters
+    if len(args) != len(setters):
+        raise TypeError(f"{cls.__qualname__}() takes {len(setters)} "
+                        f"arguments ({len(args)} given)")
+    node = object.__new__(cls)
+    for set_field, value in zip(setters, args):
+        set_field(node, value)
+    _set_hash(node, hash(args))
+    entry = _Entry(node, _evict)
+    entry.key = key
+    while True:
+        found = _ENTRIES.setdefault(key, entry)
+        if found is entry:
+            return node
+        winner = found()
+        if winner is not None:  # another thread interned it first
+            return winner
+        _remove_dead_weakref(_ENTRIES, key)
+
+
+class _Interned(type):
+    """Metaclass routing every node construction through the unique
+    table.  A node class's fields are its ``__slots__``, in order."""
+
+    def __init__(cls, name: str, bases: tuple, namespace: dict) -> None:
+        super().__init__(name, bases, namespace)
+        # The slots' own setters, since nodes refuse ``setattr``.  The
+        # root class's slots hold bookkeeping, not fields.
+        cls._setters = tuple(getattr(cls, field).__set__
+                             for field in cls.__slots__) if bases else ()
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            args = cls._bind(args, kwargs)
+        key = (cls, *args)
+        entry = _ENTRIES.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        return _intern(cls, args, key)
+
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Order positional and keyword arguments as the fields are."""
+        values = list(args)
+        for name in cls.__slots__[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{cls.__qualname__}() missing argument "
+                                f"{name!r}")
+            values.append(kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got unexpected "
+                            f"arguments {sorted(kwargs)}")
+        return tuple(values)
+
+
+class HistoryExpression(metaclass=_Interned):
     """Abstract base class of all history-expression nodes.
 
-    Concrete nodes are frozen dataclasses; the base class only hosts shared
-    conveniences (pretty ``repr`` and structural iteration).
+    Concrete nodes are interned immutable values (see the module
+    docstring); the base class hosts the value protocol — cached hash,
+    identity equality, dataclass-style ``repr``, copying and pickling that
+    return the interned node — plus shared conveniences (pretty ``str``
+    and structural iteration).
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_free", "__weakref__")
 
     def children(self) -> tuple["HistoryExpression", ...]:
         """The immediate sub-expressions of this node."""
@@ -49,29 +152,66 @@ class HistoryExpression:
         for child in self.children():
             yield from child.walk()
 
+    def _free_variables(self) -> frozenset[str]:
+        """Free variables from the children's cached sets (see
+        :func:`free_variables`)."""
+        free = _NO_FREE
+        for child in self.children():
+            if child._free:
+                free = free | child._free if free else child._free
+        return free
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuilding through the constructor makes pickles and copies
+        # return the interned node.
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
     def __str__(self) -> str:  # pragma: no cover - delegated to pretty
         from repro.lang.pretty import pretty
         return pretty(self)
 
 
-@dataclass(frozen=True, slots=True)
+_set_hash = HistoryExpression._hash.__set__
+_set_free = HistoryExpression._free.__set__
+
+
 class Epsilon(HistoryExpression):
     """The empty history expression ``ε``: it cannot do anything."""
 
+    __slots__ = ()
 
-#: The canonical ``ε`` term.  ``Epsilon`` instances compare equal, but using
-#: the shared constant keeps object churn down in hot loops.
+
+#: The ``ε`` term.  ``Epsilon()`` returns this very node; using the
+#: constant saves the unique-table lookup in hot loops.
 EPSILON = Epsilon()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(HistoryExpression):
     """A recursion variable ``h``."""
 
+    __slots__ = ("name",)
+
     name: str
 
+    def _free_variables(self) -> frozenset[str]:
+        return frozenset((self.name,))
 
-@dataclass(frozen=True, slots=True)
+
 class Mu(HistoryExpression):
     """Tail recursion ``μh.H``.
 
@@ -79,16 +219,23 @@ class Mu(HistoryExpression):
     communication action; :mod:`repro.core.wellformed` checks both.
     """
 
+    __slots__ = ("var", "body")
+
     var: str
     body: HistoryExpression
 
     def children(self) -> tuple[HistoryExpression, ...]:
         return (self.body,)
 
+    def _free_variables(self) -> frozenset[str]:
+        free = self.body._free
+        return free - {self.var} if self.var in free else free
 
-@dataclass(frozen=True, slots=True)
+
 class EventNode(HistoryExpression):
     """A single access event ``α``."""
+
+    __slots__ = ("event",)
 
     event: Event
 
@@ -96,7 +243,6 @@ class EventNode(HistoryExpression):
         return ()
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(HistoryExpression):
     """Sequential composition ``H·H'``.
 
@@ -105,6 +251,8 @@ class Seq(HistoryExpression):
     are represented by identical trees.
     """
 
+    __slots__ = ("first", "second")
+
     first: HistoryExpression
     second: HistoryExpression
 
@@ -112,7 +260,6 @@ class Seq(HistoryExpression):
         return (self.first, self.second)
 
 
-@dataclass(frozen=True, slots=True)
 class ExternalChoice(HistoryExpression):
     """External choice ``Σ_{i∈I} a_i.H_i`` over *input* prefixes.
 
@@ -120,13 +267,14 @@ class ExternalChoice(HistoryExpression):
     available at the same time (single ready set, Definition 3).
     """
 
+    __slots__ = ("branches",)
+
     branches: tuple[tuple[Receive, HistoryExpression], ...]
 
     def children(self) -> tuple[HistoryExpression, ...]:
         return tuple(cont for _, cont in self.branches)
 
 
-@dataclass(frozen=True, slots=True)
 class InternalChoice(HistoryExpression):
     """Internal choice ``⊕_{i∈I} ā_i.H_i`` over *output* prefixes.
 
@@ -134,13 +282,14 @@ class InternalChoice(HistoryExpression):
     ready set (Definition 3).
     """
 
+    __slots__ = ("branches",)
+
     branches: tuple[tuple[Send, HistoryExpression], ...]
 
     def children(self) -> tuple[HistoryExpression, ...]:
         return tuple(cont for _, cont in self.branches)
 
 
-@dataclass(frozen=True, slots=True)
 class Request(HistoryExpression):
     """A service request ``open_{r,φ} H close_{r,φ}``.
 
@@ -149,6 +298,8 @@ class Request(HistoryExpression):
     ``body`` is the client's behaviour within the session.
     """
 
+    __slots__ = ("request", "policy", "body")
+
     request: str
     policy: object | None
     body: HistoryExpression
@@ -157,9 +308,10 @@ class Request(HistoryExpression):
         return (self.body,)
 
 
-@dataclass(frozen=True, slots=True)
 class ClosePending(HistoryExpression):
     """Run-time residual ``close_{r,φ}`` of an opened session."""
+
+    __slots__ = ("request", "policy")
 
     request: str
     policy: object | None
@@ -168,10 +320,11 @@ class ClosePending(HistoryExpression):
         return ()
 
 
-@dataclass(frozen=True, slots=True)
 class Framing(HistoryExpression):
     """A security framing ``φ[H]``: policy ``φ`` is enforced while ``H``
     runs (and, history-dependently, over the whole past)."""
+
+    __slots__ = ("policy", "body")
 
     policy: object
     body: HistoryExpression
@@ -180,9 +333,10 @@ class Framing(HistoryExpression):
         return (self.body,)
 
 
-@dataclass(frozen=True, slots=True)
 class FrameClosePending(HistoryExpression):
     """Run-time residual ``Mφ`` of an entered framing."""
+
+    __slots__ = ("policy",)
 
     policy: object
 
@@ -279,15 +433,26 @@ def mu(var: str, body: HistoryExpression) -> Mu:
 # ---------------------------------------------------------------------------
 
 def free_variables(term: HistoryExpression) -> frozenset[str]:
-    """The free recursion variables of *term*."""
-    if isinstance(term, Var):
-        return frozenset({term.name})
-    if isinstance(term, Mu):
-        return free_variables(term.body) - {term.var}
-    result: frozenset[str] = frozenset()
-    for child in term.children():
-        result |= free_variables(child)
-    return result
+    """The free recursion variables of *term*.
+
+    Cached on each node: the first query fills the cache of every node
+    below *term* still lacking it, in one iterative post-order pass, so
+    later queries — on *term* or any of its subterms — are O(1)."""
+    try:
+        return term._free
+    except AttributeError:
+        pass
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in node.children()
+                   if not hasattr(child, "_free")]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        _set_free(node, node._free_variables())
+    return term._free
 
 
 def is_closed(term: HistoryExpression) -> bool:

@@ -64,8 +64,7 @@ class TestRegistry:
     def test_pipeline_caches_are_tracked(self):
         names = tracked_caches()
         for expected in ("contracts.projection", "contracts.lts",
-                         "analysis.extract_requests",
-                         "compliance.contract_intern"):
+                         "analysis.extract_requests"):
             assert expected in names
 
     def test_cache_stats_selects_by_name(self):
